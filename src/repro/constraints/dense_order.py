@@ -67,7 +67,11 @@ class OrderAtom(Atom):
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise TheoryError(f"bad dense-order operator {self.op!r}")
-        if self.op in _SYMMETRIC:
+        # variables sort before constants, so a ``var op const`` atom (every
+        # pin) is already in order without computing either sort key
+        if self.op in _SYMMETRIC and not (
+            isinstance(self.left, Var) and isinstance(self.right, Const)
+        ):
             if term_sort_key(self.right) < term_sort_key(self.left):
                 left, right = self.right, self.left
                 object.__setattr__(self, "left", left)
@@ -389,6 +393,7 @@ class DenseOrderTheory(ConstraintTheory):
     """The theory of dense linear order with constants over the rationals."""
 
     name = "dense_order"
+    sorted_pins_canonical = True
 
     # convenience constructors re-exported on the theory object
     lt = staticmethod(lt)
@@ -421,7 +426,8 @@ class DenseOrderTheory(ConstraintTheory):
     def constant(self, value: object) -> Const:
         if isinstance(value, Const):
             return value
-        return Const(Fraction(value))
+        # pins carry Fractions already; re-normalizing them is pure cost
+        return Const(value if type(value) is Fraction else Fraction(value))
 
     def atom_constants(self, atom: Atom) -> frozenset:
         self.validate_atom(atom)

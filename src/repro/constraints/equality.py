@@ -57,7 +57,11 @@ class EqualityAtom(Atom):
     def __post_init__(self) -> None:
         if self.op not in ("=", "!="):
             raise TheoryError(f"bad equality operator {self.op!r}")
-        if term_sort_key(self.right) < term_sort_key(self.left):
+        # variables sort before constants, so a ``var op const`` atom (every
+        # pin) is already in order without computing either sort key
+        if not (
+            isinstance(self.left, Var) and isinstance(self.right, Const)
+        ) and term_sort_key(self.right) < term_sort_key(self.left):
             left, right = self.right, self.left
             object.__setattr__(self, "left", left)
             object.__setattr__(self, "right", right)
@@ -130,6 +134,7 @@ class EqualityTheory(ConstraintTheory):
     """The theory of equality with constants over an infinite domain."""
 
     name = "equality"
+    sorted_pins_canonical = True
 
     eq = staticmethod(eq)
     ne = staticmethod(ne)

@@ -1186,17 +1186,20 @@ class DatalogProgram:
         sizes: Sequence[int],
         pinned: set[str],
         stats: EvaluationStats,
+        delta: int | None = None,
     ) -> list[int]:
         """Greedy selectivity order over the rule's positive atoms.
 
         Atoms sharing more variables with the already-bound set join more
         selectively (every shared variable is an equi-join the pin filter
         and the index probes exploit), so pick by descending connectivity,
-        breaking ties toward the smaller source and then the original
-        position (determinism).  ``pinned`` seeds the bound set with the
-        constants the rule's constraint atoms force.  Called once per
-        (rule, round), so the order tracks the changing delta/relation
-        cardinalities as the fixpoint grows.
+        breaking ties toward the semi-naive ``delta`` slot (it is scanned,
+        never probed, so it must not sit in an inner loop), then the
+        smaller source, then the original position (determinism).
+        ``pinned`` seeds the bound set with the constants the rule's
+        constraint atoms force.  Called once per (rule, round), so the
+        order tracks the changing delta/relation cardinalities as the
+        fixpoint grows.
         """
         n = len(positives)
         if n <= 1:
@@ -1205,7 +1208,7 @@ class DatalogProgram:
         # the greedy core lives in repro.core.compile (plan_order) so the
         # compiled closures provably share the interpreter's ordering
         order = rulecompile.plan_order(
-            [atom.args for atom in positives], sizes, pinned
+            [atom.args for atom in positives], sizes, pinned, delta
         )
         if order != sorted(order):
             stats.plan_reorders += 1
@@ -1313,7 +1316,9 @@ class DatalogProgram:
 
         # (body atom, tuple source, indexable relation or None); deltas are
         # consumed once per round, so indexing them would cost more than the
-        # scan they replace
+        # scan they replace -- which is why the planner puts the delta first
+        # on a connectivity tie: scanned once at the outermost level, it
+        # binds the join variables the indexed relations below are probed on
         sources: list[
             tuple[RelationAtom, Iterable[GeneralizedTuple], GeneralizedRelation | None]
         ] = []
@@ -1328,7 +1333,13 @@ class DatalogProgram:
                 sources.append((atom, relation, relation))
                 sizes.append(len(relation))
         if options.join_planner:
-            order = self._plan(positives, sizes, set(root_pin_map), stats)
+            order = self._plan(
+                positives,
+                sizes,
+                set(root_pin_map),
+                stats,
+                delta_position if delta is not None else None,
+            )
         else:
             order = list(range(len(positives)))
         plan = [sources[i] for i in order]
@@ -1441,8 +1452,7 @@ class DatalogProgram:
                 if pins is not None and cand_pins:
                     conflict = False
                     for var, value in cand_pins.items():
-                        known = pins.get(var, value)
-                        if known != value:
+                        if var in pins and pins[var] != value:
                             conflict = True
                             break
                     if conflict:

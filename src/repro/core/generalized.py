@@ -9,12 +9,15 @@ Each generalized relation finitely represents a possibly infinite
 
 Tuples are stored canonicalized (via the theory's ``canonicalize``), which
 deduplicates equivalent constraint conjunctions -- the mechanism behind
-fixpoint termination in the Datalog engines.
+fixpoint termination in the Datalog engines.  Point tuples that arrive with
+their constant vector (the classical special case, Example 1.5) skip the
+solver: a relation remembers the vectors it stored, so a re-derived point
+is rejected by one hash lookup.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.constraints.base import ConstraintTheory
@@ -30,10 +33,17 @@ class GeneralizedTuple:
     The atom conjunction may mention only the tuple's variables (and domain
     constants).  Instances are immutable; equality is syntactic equality of
     the (canonicalized) atom set.
+
+    ``point``, when set, is the tuple's constant vector: the atoms are then
+    exactly the pins ``variables[i] = point[i]``.  Producers that already
+    hold the pins (the compiled point leaf) pass it so that
+    :meth:`GeneralizedRelation.add_canonical` can dedup without the solver.
+    It is excluded from equality and hashing.
     """
 
     variables: tuple[str, ...]
     atoms: tuple[Atom, ...]
+    point: tuple[Any, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         scope = set(self.variables)
@@ -56,7 +66,9 @@ class GeneralizedTuple:
             )
         mapping = dict(zip(self.variables, targets))
         return GeneralizedTuple(
-            tuple(targets), tuple(atom.rename(mapping) for atom in self.atoms)
+            tuple(targets),
+            tuple(atom.rename(mapping) for atom in self.atoms),
+            self.point,
         )
 
     def holds(self, assignment: Mapping[str, Any]) -> bool:
@@ -87,6 +99,11 @@ class GeneralizedRelation:
         self.variables: tuple[str, ...] = tuple(variables)
         self.theory = theory
         self._tuples: dict[frozenset[Atom], GeneralizedTuple] = {}
+        #: constant vectors of the point tuples stored through the point
+        #: path of ``add_canonical``.  Invariant: a vector here is stored
+        #: (its tuple carries it as ``point``, so a removal drops it); an
+        #: absent vector is decided by the canonical key as usual.
+        self._points: set[tuple[Any, ...]] = set()
         #: monotone content-version counter: bumped on every successful
         #: ``add``/``discard``, so derived results (e.g. the complement DNF a
         #: negated rule body needs) can be cached per (name, version) and
@@ -125,17 +142,36 @@ class GeneralizedRelation:
         """Like :meth:`add`, but returns the stored canonical tuple if new.
 
         Callers that need the canonical form (the semi-naive delta) reuse the
-        tuple computed by the dedup instead of re-canonicalizing.
+        tuple computed by the dedup instead of re-canonicalizing.  A tuple
+        carrying its ``point`` vector takes the point path: a stored vector
+        is a duplicate outright, and a new one is spelled canonically by
+        the theory's ``point_canonical`` (no rename, no solver).
         """
-        renamed = item.rename(self.variables) if item.variables != self.variables else item
-        canonical = self.theory.canonicalize(renamed.atoms)
+        point = item.point
+        if point is not None:
+            if point in self._points:
+                return None
+            if len(point) != self.arity:
+                raise ArityError(
+                    f"{self.name} has arity {self.arity}, got point {point!r}"
+                )
+            canonical = self.theory.point_canonical(self.variables, point)
+        else:
+            renamed = (
+                item.rename(self.variables)
+                if item.variables != self.variables
+                else item
+            )
+            canonical = self.theory.canonicalize(renamed.atoms)
         if canonical is None:
             return None
         key = frozenset(canonical)
         if key in self._tuples:
             return None
-        stored = GeneralizedTuple(self.variables, canonical)
+        stored = GeneralizedTuple(self.variables, canonical, point)
         self._tuples[key] = stored
+        if point is not None:
+            self._points.add(point)
         self.version += 1
         # supervisor tick: one unit per generalized tuple actually admitted
         # (dropped/duplicate tuples are free)
@@ -195,8 +231,10 @@ class GeneralizedRelation:
         canonical = self.theory.canonicalize(item.rename(self.variables).atoms)
         if canonical is None:
             return False
-        if self._tuples.pop(frozenset(canonical), None) is None:
+        removed = self._tuples.pop(frozenset(canonical), None)
+        if removed is None:
             return False
+        self._points.discard(removed.point)
         self.version += 1
         self.removals += 1
         return True
@@ -205,6 +243,7 @@ class GeneralizedRelation:
         """Remove by canonical key; returns the removed tuple if present."""
         removed = self._tuples.pop(key, None)
         if removed is not None:
+            self._points.discard(removed.point)
             self.version += 1
             self.removals += 1
         return removed
@@ -213,6 +252,7 @@ class GeneralizedRelation:
         """Drop every tuple (a removal event: indexes over this relation rebuild)."""
         if self._tuples:
             self._tuples.clear()
+            self._points.clear()
             self.version += 1
             self.removals += 1
 

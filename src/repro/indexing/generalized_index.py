@@ -37,6 +37,11 @@ def tuple_projection_interval(
     """
     if not theory.is_satisfiable(item.atoms):
         return None
+    # a satisfiable conjunction that pins the attribute projects onto
+    # exactly that point: no elimination needed (every point tuple)
+    pinned = theory.pinned_constants(item.atoms).get(attribute)
+    if pinned is not None:
+        return Interval(pinned, pinned, False, False, payload=item)
     # drop disequalities up front: a punctured interval's *key* is its hull
     # (keys may over-cover -- the search conjoins the true constraints, so
     # false positives are filtered, never false negatives)

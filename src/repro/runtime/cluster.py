@@ -719,8 +719,8 @@ class ShardedExecutor:
         A task's derived list is serial-sliceable iff the join plan
         enumerates the delta slot *first*: then each slice enumerates a
         contiguous run of the serial enumeration, and shrinking the delta's
-        size only improves its (connectivity, size, index) sort key, so the
-        slice's own plan still leads with the delta and orders the
+        size only improves its (connectivity, delta, size, index) sort key,
+        so the slice's own plan still leads with the delta and orders the
         remaining slots identically (their sizes and the bound-variable set
         after the delta are unchanged).  Tasks failing this run as a single
         whole shard.
@@ -743,7 +743,7 @@ class ShardedExecutor:
             self.program.theory.pinned_constants(tuple(rule.constraint_atoms))
         )
         order = rulecompile.plan_order(
-            [atom.args for atom in positives], sizes, pinned
+            [atom.args for atom in positives], sizes, pinned, delta_position
         )
         return order[0] == delta_position
 

@@ -32,6 +32,8 @@ class TestAtoms:
     def test_symmetric_operand_order(self):
         assert eq("y", "x") == eq("x", "y")
         assert ne(3, "x") == ne("x", 3)
+        # variables sort before constants, whichever side they are given on
+        assert eq(3, "x").left == Var("x") == eq("x", 3).left
 
     def test_constants_are_fractions(self):
         atom = lt("x", 3)

@@ -14,6 +14,7 @@ class TestAtoms:
     def test_symmetric_normalization(self):
         assert eq("y", "x") == eq("x", "y")
         assert ne("y", "x") == ne("x", "y")
+        assert eq(5, "x").left == Var("x") == eq("x", 5).left
 
     def test_string_constants_via_const(self):
         atom = eq("x", const("red"))

@@ -13,6 +13,7 @@ from repro.core.generalized import (
     GeneralizedTuple,
 )
 from repro.errors import ArityError, UnknownRelationError
+from repro.runtime.budget import Budget, metered
 
 order = DenseOrderTheory()
 
@@ -108,6 +109,79 @@ class TestGeneralizedRelation:
         r.add_tuple([eeq("x", "y")])
         assert r.contains_values([7, 7])
         assert not r.contains_values([7, 8])
+
+
+def _point(values, variables=("a", "b")):
+    """A derived point tuple carrying its constant vector (the compiled
+    point leaf's output shape), over variables unlike the relation's."""
+    vector = tuple(Fraction(v) for v in values)
+    atoms = tuple(eq(var, value) for var, value in zip(variables, vector))
+    return GeneralizedTuple(tuple(variables), atoms, vector)
+
+
+class TestPointPath:
+    def test_point_is_stored_canonically_and_deduped(self):
+        r = GeneralizedRelation("R", ("x", "y"), order)
+        stored = r.add_canonical(_point((1, 2)))
+        assert stored is not None
+        assert stored.variables == ("x", "y")
+        assert stored.atoms == order.canonicalize((eq("x", 1), eq("y", 2)))
+        assert stored.point == (Fraction(1), Fraction(2))
+        version = r.version
+        assert r.add_canonical(_point((1, 2))) is None
+        assert r.version == version
+        # the general spelling of the same point is a duplicate too
+        assert not r.add_point([1, 2])
+        assert len(r) == 1
+
+    def test_point_field_does_not_change_identity(self):
+        plain = GeneralizedTuple(("x",), (eq("x", 1),))
+        tagged = GeneralizedTuple(("x",), (eq("x", 1),), (Fraction(1),))
+        assert plain == tagged and hash(plain) == hash(tagged)
+
+    def test_point_stored_through_general_path_is_duplicate(self):
+        r = GeneralizedRelation("R", ("x", "y"), order)
+        # c <= x <= c canonicalizes to the pin x = c
+        assert r.add_tuple([le(1, "x"), le("x", 1), le(2, "y"), le("y", 2)])
+        version = r.version
+        assert r.add_canonical(_point((1, 2))) is None
+        assert r.add_canonical(_point((1, 2))) is None
+        assert r.version == version
+        assert len(r) == 1
+
+    @pytest.mark.parametrize("removal", ["discard", "discard_key", "clear"])
+    def test_removed_point_is_readmitted(self, removal):
+        r = GeneralizedRelation("R", ("x", "y"), order)
+        stored = r.add_canonical(_point((1, 2)))
+        if removal == "discard":
+            assert r.discard(_point((1, 2)))
+        elif removal == "discard_key":
+            assert r.discard_key(frozenset(stored.atoms)) is not None
+        else:
+            r.clear()
+        assert len(r) == 0
+        version = r.version
+        meter = Budget().start()
+        with metered(meter):
+            again = r.add_canonical(_point((1, 2)))
+        assert again == stored
+        assert r.version == version + 1
+        assert meter.counts["tuple"] == 1
+        assert len(r) == 1
+
+    def test_point_arity_checked(self):
+        r = GeneralizedRelation("R", ("x",), order)
+        with pytest.raises(ArityError):
+            r.add_canonical(_point((1, 2)))
+
+    def test_equality_theory_point(self):
+        theory = EqualityTheory()
+        r = GeneralizedRelation("R", ("x", "y"), theory)
+        item = GeneralizedTuple(("a", "b"), (eeq("a", 1), eeq("b", 1)), (1, 1))
+        stored = r.add_canonical(item)
+        assert stored is not None
+        assert stored.atoms == theory.canonicalize((eeq("x", 1), eeq("y", 1)))
+        assert not r.add_point([1, 1])
 
 
 class TestGeneralizedDatabase:

@@ -1,8 +1,10 @@
 """The per-round join planner: order quality, determinism, delta safety."""
 
+import random
 from fractions import Fraction
 
 from repro.constraints.dense_order import DenseOrderTheory
+from repro.core.compile import plan_order
 from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats
 from repro.core.generalized import GeneralizedDatabase
 from repro.logic.parser import parse_rules
@@ -48,6 +50,27 @@ class TestPlanOrder:
         atoms = [RelationAtom("A", ("x", "y")), RelationAtom("B", ("x", "z"))]
         assert self._plan(atoms, [5, 5]) == [0, 1]
 
+    def test_connectivity_tie_puts_delta_first(self):
+        # T(x, z), E(z, y): nothing bound at the root, so both atoms tie on
+        # connectivity; the delta leads even when it is the larger source
+        args = [("x", "z"), ("z", "y")]
+        assert plan_order(args, [76, 57], set(), delta=0) == [0, 1]
+        assert plan_order(args, [57, 76], set(), delta=1) == [1, 0]
+        # without a delta slot the smaller source still leads
+        assert plan_order(args, [76, 57], set()) == [1, 0]
+
+    def test_connectivity_beats_delta(self):
+        # a pinned variable makes B the only connected atom at the root
+        args = [("x", "y"), ("u", "v")]
+        assert plan_order(args, [1, 9], {"u"}, delta=0) == [1, 0]
+
+    def test_interpreter_plan_passes_delta(self):
+        atoms = [RelationAtom("T", ("x", "z")), RelationAtom("E", ("z", "y"))]
+        assert self._plan(atoms, [76, 57]) == [1, 0]
+        program = _program("T(x, y) :- E(x, y).")
+        stats = EvaluationStats()
+        assert program._plan(atoms, [76, 57], set(), stats, 0) == [0, 1]
+
     def test_single_atom_not_counted_as_plan(self):
         stats = EvaluationStats()
         program = _program("T(x, y) :- E(x, y).")
@@ -88,3 +111,53 @@ class TestPlannerInEngine:
 
     def _run(self, program):
         return program.evaluate(self._chain(8))
+
+
+def _seeded_dag(seed, nodes=30, window=5):
+    """Each node gets two distinct successors within ``window`` ahead."""
+    rng = random.Random(seed)
+    edges = []
+    for node in range(nodes - 1):
+        ahead = list(range(node + 1, min(nodes, node + window + 1)))
+        for target in sorted(rng.sample(ahead, min(2, len(ahead)))):
+            edges.append((node, target))
+    return edges
+
+
+class TestDeltaDrivenJoinCost:
+    """Semi-naive TC costs in proportion to what it derives.
+
+    With the delta scanned at the outermost level and ``E`` probed on the
+    join variable, every join step meets a candidate that extends the
+    match; a relation-first order rescans the delta per ``E`` tuple and
+    prunes nearly every step on a pin conflict.
+    """
+
+    RULES = TestPlannerInEngine.RULES
+
+    @staticmethod
+    def _database(edges):
+        db = GeneralizedDatabase(theory)
+        relation = db.create_relation("E", ("x", "y"))
+        for source, target in edges:
+            relation.add_point([Fraction(source), Fraction(target)])
+        return db
+
+    def test_join_steps_within_twice_derived(self):
+        edges = _seeded_dag(1)
+        for compile_rules in (True, False):
+            program = _program(
+                self.RULES, compile_rules=compile_rules, parallel=False
+            )
+            world, stats = program.evaluate(self._database(edges))
+            assert stats.join_steps <= 2 * stats.tuples_derived
+            assert stats.pin_prunes == 0
+            reach = {(s, t) for s, t in edges}
+            while True:
+                grown = reach | {
+                    (a, d) for a, b in reach for c, d in edges if b == c
+                }
+                if grown == reach:
+                    break
+                reach = grown
+            assert len(world.relation("T")) == len(reach)

@@ -211,6 +211,13 @@ class TestProjection:
         item = GeneralizedTuple(("x",), (eq("x", 7),))
         interval = tuple_projection_interval(item, "x", order)
         assert interval.low == interval.high == 7
+        # a pinned attribute projects to its point whatever else is said
+        item = GeneralizedTuple(("x", "y"), (eq("x", 7), lt("x", "y")))
+        interval = tuple_projection_interval(item, "x", order)
+        assert interval.low == interval.high == 7
+        assert not interval.low_open and not interval.high_open
+        unsat = GeneralizedTuple(("x",), (eq("x", 7), lt("x", 0)))
+        assert tuple_projection_interval(unsat, "x", order) is None
 
     def test_unsat_tuple(self):
         item = GeneralizedTuple(("x",), (lt("x", 0), lt(1, "x")))

@@ -23,7 +23,6 @@ from repro.runtime.chaos import (
     ChaosRuntime,
     ChaosStats,
     ChaosTheory,
-    ProcessFaultPolicy,
     ResilientTheory,
     chaos_scope,
     current_chaos,
@@ -31,14 +30,6 @@ from repro.runtime.chaos import (
     parse_chaos_spec,
     unwrap_theory,
 )
-from repro.runtime.cluster import (
-    ClusterConfig,
-    ShardedExecutor,
-    ShardResult,
-    ShardTask,
-    WorkerSupervisor,
-)
-
 __all__ = [
     "Budget",
     "BudgetMeter",
@@ -53,16 +44,10 @@ __all__ = [
     "ChaosRuntime",
     "ChaosStats",
     "ChaosTheory",
-    "ProcessFaultPolicy",
     "ResilientTheory",
     "chaos_scope",
     "current_chaos",
     "harden",
     "parse_chaos_spec",
     "unwrap_theory",
-    "ClusterConfig",
-    "ShardedExecutor",
-    "ShardResult",
-    "ShardTask",
-    "WorkerSupervisor",
 ]

@@ -154,6 +154,21 @@ class TestCompiledFiringStats:
 
 
 class TestStatsMerge:
+    def test_merge_is_additive(self):
+        a = EvaluationStats(join_steps=3, rule_firings=1, index_probes=2)
+        b = EvaluationStats(join_steps=4, rule_firings=5, pin_prunes=7)
+        a.merge(b)
+        assert a.join_steps == 7
+        assert a.rule_firings == 6
+        assert a.index_probes == 2
+        assert a.pin_prunes == 7
+
+    def test_merge_leaves_round_bookkeeping_alone(self):
+        a = EvaluationStats(iterations=2, per_round_new=[1])
+        a.merge(EvaluationStats(iterations=9, per_round_new=[5, 5]))
+        assert a.iterations == 2
+        assert a.per_round_new == [1]
+
     def test_merge_folds_compiler_counters(self):
         a, b = EvaluationStats(), EvaluationStats()
         for stats, base in ((a, 1), (b, 10)):

@@ -16,7 +16,8 @@ from repro.core.datalog import DatalogProgram, EngineOptions
 from repro.core.generalized import GeneralizedDatabase
 from repro.errors import BudgetExceededError
 from repro.logic.parser import parse_rules
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, metered
+from repro.workloads.orders import chain_edges
 
 order = DenseOrderTheory()
 
@@ -131,6 +132,40 @@ class TestFringeMode:
         assert _atom_sets(part_world.relation("T")) <= _atom_sets(
             full_world.relation("T")
         )
+
+
+class TestJoinBudget:
+    """Join budgets on a program with a three-way join beside the closure."""
+
+    RULES = TC_RULES + "S(x, w) :- E(x, y), T(y, z), E(z, w).\n"
+
+    def _evaluate(self, n=10, budget=None):
+        rules = parse_rules(self.RULES, theory=order)
+        program = DatalogProgram(rules, order, options=EngineOptions(budget=budget))
+        return program.evaluate(chain_edges(n))
+
+    def test_join_budget_raises_with_report(self):
+        with pytest.raises(BudgetExceededError) as excinfo:
+            self._evaluate(budget=Budget(joins=40))
+        assert excinfo.value.report.budget_kind == "joins"
+
+    def test_join_fringe_is_sound_subset(self):
+        budget = Budget(joins=40, partial_results="fringe")
+        world, stats = self._evaluate(budget=budget)
+        assert stats.incomplete
+        assert stats.budget["budget_kind"] == "joins"
+        full, _ = self._evaluate()
+        for name in ("T", "S"):
+            assert _atom_sets(world.relation(name)) <= _atom_sets(full.relation(name))
+
+    def test_join_ticks_reach_shared_meter(self):
+        # built outside the meter: construction-time analysis ticks too
+        rules = parse_rules(self.RULES, theory=order)
+        program = DatalogProgram(rules, order, options=EngineOptions())
+        meter = Budget(partial_results="fringe").start()
+        with metered(meter):
+            _world, stats = program.evaluate(chain_edges(6))
+        assert meter.counts["join"] == stats.join_steps
 
 
 class TestDeadlineAcceptance:

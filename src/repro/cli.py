@@ -179,7 +179,7 @@ class Shell:
         elif command == ".retract":
             self._delta("retract", rest)
         elif command == ".plan":
-            self._plan(rest)
+            self._show_plan(rest)
         elif command == ".show":
             self.write(str(self.db.relation(rest)))
         elif command == ".budget":
@@ -554,7 +554,7 @@ class Shell:
         else:
             self.write("no rewrites: the program is already minimal")
 
-    def _plan(self, selector: str) -> None:
+    def _show_plan(self, selector: str) -> None:
         from repro.core.compile import render_plan
 
         if not self.rules:

@@ -15,6 +15,9 @@ Registered adapters (per applicable kind/theory):
   project/complement), *not* sharing the calculus evaluator's NNF pass;
 * ``rconfig`` / ``econfig`` -- the paper-verbatim EVAL-phi procedures
   (dense order / equality only);
+* ``datalog[reference]`` -- the naive reference evaluator
+  (:mod:`repro.core.reference`), the first datalog route and so the one
+  every other datalog route is compared against;
 * ``datalog[...]`` -- the semi-naive engine under ``EngineOptions.all_on``,
   ``all_off``, and each single-flag-off ablation, plus a naive-order run;
 * ``boole_lemma`` -- the Section 5.2 boolean Datalog engine (Theorem 5.6),
@@ -56,6 +59,7 @@ from repro.core.ivm import MaterializedView
 from repro.core.magic import Binding, MagicQuery, select_answers
 from repro.core.query import Engine
 from repro.core.rconfig import evaluate_query_rconfig
+from repro.core.reference import evaluate_reference
 from repro.logic.syntax import (
     And,
     Atom,
@@ -98,9 +102,6 @@ ABLATION_GRID: tuple[tuple[str, EngineOptions], ...] = (
         "serial_scan",
         replace(EngineOptions.all_on(), join_planner=False, index_probes=False),
     ),
-    # compiled vs interpreted differential pair: compiled_off is the
-    # interpreted oracle with every other layer live
-    ("compiled_off", replace(EngineOptions.all_on(), compile_rules=False)),
     # the semantic-optimizer differential pair: semantic_off is the
     # unrewritten oracle (the auto-generated no_optimize_semantic ablation
     # under its acceptance-criterion name) -- any fixpoint difference against
@@ -125,7 +126,8 @@ def strategies_for(spec: CaseSpec) -> list[Strategy]:
             routes.append(Strategy("econfig", _run_econfig))
         return routes
     if spec.kind == "datalog":
-        routes = [
+        routes = [Strategy("datalog[reference]", _run_reference)]
+        routes += [
             Strategy(
                 f"datalog[{label}]",
                 _datalog_runner(options, semi_naive=True),
@@ -265,6 +267,23 @@ def _pad(
 
 
 # ----------------------------------------------------------------- datalog
+def _target(
+    world: GeneralizedDatabase, spec: CaseSpec, case: BuiltCase
+) -> GeneralizedRelation:
+    result = GeneralizedRelation("result", case.output, case.theory)
+    for item in world.relation(spec.target):
+        result.add(item)
+    return result
+
+
+def _run_reference(spec: CaseSpec) -> GeneralizedRelation:
+    case = build_case(spec)
+    world = evaluate_reference(
+        case.rules, case.theory, case.database, semantics=spec.semantics
+    )
+    return _target(world, spec, case)
+
+
 def _datalog_runner(
     options: EngineOptions, semi_naive: bool
 ) -> Callable[[CaseSpec], GeneralizedRelation]:
@@ -274,11 +293,7 @@ def _datalog_runner(
         world, _stats = program.evaluate(
             case.database, semi_naive=semi_naive, semantics=spec.semantics
         )
-        derived = world.relation(spec.target)
-        result = GeneralizedRelation("result", case.output, case.theory)
-        for item in derived:
-            result.add(item)
-        return result
+        return _target(world, spec, case)
 
     return run
 

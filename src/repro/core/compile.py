@@ -1,20 +1,19 @@
 """Rule compilation: planned rules lowered to specialized closures.
 
-The PR 5 engine *interprets* each planned rule: every join level re-decides,
-per candidate tuple, which access path to use, whether the pin filter
-applies, and which generic :class:`~repro.constraints.base.ConstraintTheory`
-entry points to call.  That per-tuple dispatch is pure overhead for the
-workloads the paper's closed-form results describe (Section 1.3: fixed
-programs evaluate in PTIME data complexity, so the per-tuple work should be
-a constant decided once per rule, not re-derived per tuple).
+This is the Datalog engine's one join executor.  Interpreting a planned
+rule would re-decide, per candidate tuple, which access path to use,
+whether the pin filter applies, and which generic
+:class:`~repro.constraints.base.ConstraintTheory` entry points to call.
+That per-tuple dispatch is pure overhead for the workloads the paper's
+closed-form results describe (Section 1.3: fixed programs evaluate in PTIME
+data complexity, so the per-tuple work should be a constant decided once
+per rule, not re-derived per tuple).
 
 This module lowers each (rule, delta slot, join order) triple into a chain
 of specialized Python closures -- one step per positive body atom plus a
 leaf -- with the decisions baked in at lowering time:
 
-* the join order (the PR 5 greedy planner's, verbatim -- see
-  :func:`plan_order`, shared with the interpreter so both paths enumerate
-  candidates identically);
+* the join order (the greedy planner's -- see :func:`plan_order`);
 * the access path per step (index probe against the
   :class:`~repro.indexing.pool.JoinIndexPool` vs. renamed scan list), with
   probe results memoized per relation content version;
@@ -29,14 +28,14 @@ leaf -- with the decisions baked in at lowering time:
   constant vector, so the relation's dedup is one vector lookup (see
   :meth:`GeneralizedRelation.add_canonical`).
 
-**Equivalence contract.**  The compiled path must produce fixpoints
-element-for-element identical to the interpreter, and must consume the
-execution supervisor's budget at identical tick counts.  Both follow from
-one invariant: the compiled chain enumerates exactly the same candidate
-entries in the same order as the interpreted join (same plan, same probe
-decisions, same scan lists) and derives the same conjunctions -- the fast
-paths only replace *how* a decision is computed, never *which* candidates
-are visited:
+**Equivalence contract.**  Under every :class:`EngineOptions`
+configuration the compiled closures must compute the fixpoint that the
+naive reference evaluator (:mod:`repro.core.reference`) computes straight
+from the paper's rule-firing definition: the same point set, checked by the
+conformance grid and the equivalence tests.  Plans, probes and caches only
+choose *which order* candidates are visited in and *which* provably
+inconsistent candidates are skipped; the fast paths only replace *how* a
+decision is computed, never its outcome:
 
 * a conjunction of consistent ``var = const`` pins over the dense-order or
   equality theory is satisfiable iff no variable is pinned to two distinct
@@ -70,6 +69,7 @@ from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.core.calculus import relation_complement_dnf
 from repro.core.generalized import GeneralizedTuple
+from repro.errors import EvaluationError
 from repro.logic.syntax import Atom, RelationAtom
 from repro.runtime.budget import tick
 from repro.runtime.chaos import unwrap_theory
@@ -98,7 +98,7 @@ def plan_order(
     pinned: set[str],
     delta: int | None = None,
 ) -> list[int]:
-    """The greedy selectivity order, shared by both evaluation paths.
+    """The greedy selectivity order of a rule's positive atoms.
 
     Descending connectivity with the already-bound variable set; ties go to
     the semi-naive ``delta`` slot, then the smaller source, then the
@@ -107,10 +107,8 @@ def plan_order(
     delta, and the full relations after it are probed on the variables it
     binds.  Sizes alone would put a relation first as soon as a round's
     delta outgrows it, and the join would then do |relation| x |delta|
-    steps, nearly all of them pin-pruned.  The compiled path re-plans per
-    (rule, round) exactly like the interpreter -- sizes change between
-    rounds -- so both paths enumerate identical candidate sequences (the
-    equivalence contract of this module).
+    steps, nearly all of them pin-pruned.  :meth:`CompiledRule.fire`
+    re-plans per (rule, round), because sizes change between rounds.
     """
     n = len(arg_lists)
     bound = set(pinned)
@@ -213,8 +211,8 @@ def _expand_negations(
 ) -> Iterator[tuple[Atom, ...]]:
     """Cartesian expansion of the negated atoms' complement DNFs.
 
-    Verbatim the interpreter's expansion so compiled and interpreted leaf
-    firings see identical branch sequences (and identical counters).
+    Each yielded tuple conjoins one disjunct of every negated atom's
+    complement: the leaf's conjunction ranges over all of them.
     """
     if not negated_dnfs:
         yield ()
@@ -233,10 +231,12 @@ def _complement_dnf(
     stats: "EvaluationStats",
     theory: "ConstraintTheory",
 ) -> list[tuple[Atom, ...]]:
-    """Complement DNF of a negated atom via the shared per-version cache.
+    """Complement DNF of a negated atom, cached per relation content version.
 
-    Same cache dict and same keys as ``DatalogProgram._complement``, so the
-    compiled and interpreted paths share complements within an evaluation.
+    The cache lives on the evaluation's ``_EvalCaches`` (``None`` when the
+    ``complement_cache`` flag is off), keyed by (name, args, version), so
+    every rule negating an unchanged relation reuses one complement within
+    an evaluation.
     """
     if caches.complement is None:
         return relation_complement_dnf(relation, atom.args, theory)
@@ -335,8 +335,8 @@ class CompiledRule:
         self._variants: dict[tuple[int | None, tuple[int, ...]], Any] = {}
         self._irs: dict[tuple[int | None, tuple[int, ...]], RuleIR] = {}
         self._lock = threading.Lock()
-        #: memoized root satisfiability (generic roots re-check per firing
-        #: in the interpreter; the answer is a pure function of the rule)
+        #: memoized root satisfiability (a pure function of the rule, so a
+        #: generic root is decided once, not per firing)
         self._root_ctx: Any = None
         self._root_sat: bool | None = None
 
@@ -357,10 +357,10 @@ class CompiledRule:
     ) -> list[EntryRecord]:
         """Classified entry records for a tuple source, cached per tuple.
 
-        Mirrors the interpreter's rename cache (same ablation flag, same
-        hit/miss counters): the cached entry keeps the tuple reference so
-        ``id`` stays a valid key, and records are pure functions of the
-        (tuple, target args) pair.
+        Honors the ``rename_cache`` ablation flag and counts its hits and
+        misses: the cached entry keeps the tuple reference so ``id`` stays
+        a valid key, and records are pure functions of the (tuple, target
+        args) pair.
         """
         if caches.centries is None:
             return [self._record(t, atom.args) for t in source]
@@ -580,8 +580,7 @@ class CompiledRule:
             ) -> list[EntryRecord] | None:
                 """Index-backed candidates, or None to scan.
 
-                Decision-for-decision the interpreter's ``probe_entries``:
-                an exact pin wins, else the incremental context's interval
+                An exact pin wins, else the incremental context's interval
                 bounds; in point mode the context's bounds *are* the pins
                 (a ground closure bounds a pinned variable to its constant
                 and nothing else), so the dict lookup replaces the solver
@@ -855,13 +854,16 @@ class CompiledProgram:
         #: ids stay valid keys
         self._pinned: list[Any] = []
 
-    def compiled_for(self, rule: Any) -> CompiledRule | None:
+    def compiled_for(self, rule: Any) -> CompiledRule:
+        """The rule's compiled form; a rule object the program was not
+        built from resolves by its text, and an unknown text raises."""
         compiled = self._by_id.get(id(rule))
         if compiled is None:
             compiled = self._by_str.get(str(rule))
-            if compiled is not None:
-                self._pinned.append(rule)
-                self._by_id[id(rule)] = compiled
+            if compiled is None:
+                raise EvaluationError(f"rule {rule} is not in the compiled program")
+            self._pinned.append(rule)
+            self._by_id[id(rule)] = compiled
         return compiled
 
     def fire(
@@ -872,13 +874,11 @@ class CompiledProgram:
         caches: Any,
         delta: dict[str, list[GeneralizedTuple]] | None,
         delta_position: int | None,
-    ) -> list[tuple[str, GeneralizedTuple]] | None:
-        """Compiled firing, or None when the rule is unknown (caller
-        falls back to the interpreter -- defensive, not expected)."""
-        compiled = self.compiled_for(rule)
-        if compiled is None:
-            return None
-        return compiled.fire(world, stats, caches, delta, delta_position)
+    ) -> list[tuple[str, GeneralizedTuple]]:
+        """All head tuples derivable by one firing of ``rule``."""
+        return self.compiled_for(rule).fire(
+            world, stats, caches, delta, delta_position
+        )
 
     def variants_lowered(self) -> int:
         return sum(len(r._variants) for r in self._by_str.values())

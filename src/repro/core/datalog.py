@@ -27,20 +27,13 @@ Theorems 3.14.2 / 4.11.2).
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from typing import ClassVar, Iterable, Sequence
 
 from repro.constraints.base import ConstraintTheory
 from repro.core import compile as rulecompile
-from repro.core.calculus import relation_complement_dnf
-from repro.core.generalized import (
-    GeneralizedDatabase,
-    GeneralizedRelation,
-    GeneralizedTuple,
-)
+from repro.core.generalized import GeneralizedDatabase, GeneralizedTuple
 from repro.errors import (
     ArityError,
     BudgetExceededError,
@@ -131,13 +124,15 @@ class EngineOptions:
 
     Everything defaults to on; ``benchmarks/bench_ablation.py`` flips the
     flags individually to measure what each layer contributes.  None of
-    them chooses an executor: a round's tasks always fire serially, in
-    order (see :meth:`DatalogProgram._execute_round`).
+    them chooses an executor: every rule fires through its compiled closure
+    chain (:mod:`repro.core.compile`), and a round's tasks fire serially,
+    in order (see :meth:`DatalogProgram._execute_round`).
     """
 
     #: memoize ``canonicalize``/``is_satisfiable`` on the theory (TheoryCache)
     theory_cache: bool = True
-    #: cache each tuple's renamed atom tuple per (relation, body-atom) pair
+    #: cache each tuple's renamed, classified join entry per (relation,
+    #: body-atom) pair, and each relation's scan list per content version
     rename_cache: bool = True
     #: extend the parent conjunction's solver state in the depth-first join
     #: instead of re-deciding the whole partial conjunction at every level
@@ -156,10 +151,6 @@ class EngineOptions:
     #: conjunction pins or interval-bounds a join variable, instead of
     #: scanning the full renamed choice list
     index_probes: bool = True
-    #: lower planned rules to specialized closures (:mod:`repro.core.compile`)
-    #: cached in the process-wide PlanCache; off, the interpreted join is the
-    #: differential oracle the compiled path is checked against
-    compile_rules: bool = True
     #: run the containment-based semantic optimizer
     #: (:mod:`repro.analysis.semantic`) at program construction: subsumed
     #: rules, redundant literals and unsatisfiable rules are removed and
@@ -198,7 +189,6 @@ class EngineOptions:
             pin_filter=False,
             join_planner=False,
             index_probes=False,
-            compile_rules=False,
             optimize_semantic=False,
         )
 
@@ -211,9 +201,13 @@ class EngineOptions:
             "pin_filter": self.pin_filter,
             "join_planner": self.join_planner,
             "index_probes": self.index_probes,
-            "compile_rules": self.compile_rules,
             "optimize_semantic": self.optimize_semantic,
         }
+
+
+#: field metadata marking an :class:`EvaluationStats` field that
+#: :meth:`EvaluationStats.merge` leaves alone
+_NOT_MERGED = {"merge": False}
 
 
 @dataclass
@@ -225,11 +219,11 @@ class EvaluationStats:
     conflated the two in one counter, overcounting firings in the reports.
     """
 
-    iterations: int = 0
+    iterations: int = field(default=0, metadata=_NOT_MERGED)
     rule_firings: int = 0
     join_steps: int = 0
     tuples_derived: int = 0
-    tuples_added: int = 0
+    tuples_added: int = field(default=0, metadata=_NOT_MERGED)
     sat_checks: int = 0
     join_prunes: int = 0
     pin_prunes: int = 0
@@ -275,33 +269,32 @@ class EvaluationStats:
     ivm_maintain_seconds: float = 0.0
     #: semantic-optimizer outcomes (:mod:`repro.analysis.semantic`), copied
     #: from the program's construction-time rewrite into every evaluation's
-    #: stats.  Deliberately absent from ``_MERGE_FIELDS``: they describe the
-    #: program, not per-round work, so folding per-apply stats would
-    #: double-count them.
-    semantic_rules_subsumed: int = 0
-    semantic_literals_eliminated: int = 0
-    semantic_view_rewrites: int = 0
-    semantic_containment_checks: int = 0
-    semantic_containment_seconds: float = 0.0
+    #: stats.  Not merged: they describe the program, not per-round work,
+    #: so folding per-apply stats would double-count them.
+    semantic_rules_subsumed: int = field(default=0, metadata=_NOT_MERGED)
+    semantic_literals_eliminated: int = field(default=0, metadata=_NOT_MERGED)
+    semantic_view_rewrites: int = field(default=0, metadata=_NOT_MERGED)
+    semantic_containment_checks: int = field(default=0, metadata=_NOT_MERGED)
+    semantic_containment_seconds: float = field(default=0.0, metadata=_NOT_MERGED)
     #: demand-driven query path (:mod:`repro.core.query`): magic rules
     #: generated by the rewrite, IDB predicates that fell back to full
     #: evaluation because their derivation cone contains negation, whether
     #: the whole plan degraded to full evaluation, the restricted cone's
     #: tuple count vs the would-be full answer relation, and reuse-cache
     #: traffic.  Like the semantic_* fields these describe the query plan,
-    #: not per-round work, so they are absent from ``_MERGE_FIELDS``.
-    magic_rules: int = 0
-    magic_fallback_predicates: tuple[str, ...] = ()
-    magic_full_fallback: bool = False
-    magic_cone_tuples: int = 0
-    magic_reuse_hits: int = 0
-    magic_reuse_misses: int = 0
-    per_round_new: list[int] = field(default_factory=list)
+    #: not per-round work, so they are not merged either.
+    magic_rules: int = field(default=0, metadata=_NOT_MERGED)
+    magic_fallback_predicates: tuple[str, ...] = field(default=(), metadata=_NOT_MERGED)
+    magic_full_fallback: bool = field(default=False, metadata=_NOT_MERGED)
+    magic_cone_tuples: int = field(default=0, metadata=_NOT_MERGED)
+    magic_reuse_hits: int = field(default=0, metadata=_NOT_MERGED)
+    magic_reuse_misses: int = field(default=0, metadata=_NOT_MERGED)
+    per_round_new: list[int] = field(default_factory=list, metadata=_NOT_MERGED)
     #: True when a budget tripped in ``partial_results="fringe"`` mode and
     #: the returned database is the last sound under-approximation
-    incomplete: bool = False
+    incomplete: bool = field(default=False, metadata=_NOT_MERGED)
     #: the tripping budget's ResourceReport (as a dict) when ``incomplete``
-    budget: dict | None = None
+    budget: dict | None = field(default=None, metadata=_NOT_MERGED)
 
     #: rounds always run serially; kept at 0 because perfbench/tracer.py reads it
     parallel_rounds: ClassVar[int] = 0
@@ -341,61 +334,23 @@ class EvaluationStats:
         payload["cache_hits"] = self.cache_hits
         return payload
 
-    #: additive counters folded by :meth:`merge`; iteration/round
-    #: bookkeeping and the program-level semantic_*/magic_* fields stay out
-    _MERGE_FIELDS = (
-        "rule_firings",
-        "join_steps",
-        "tuples_derived",
-        "sat_checks",
-        "join_prunes",
-        "pin_prunes",
-        "closure_extensions",
-        "rename_cache_hits",
-        "rename_cache_misses",
-        "complement_cache_hits",
-        "complement_cache_misses",
-        "plans_built",
-        "plan_reorders",
-        "index_probes",
-        "index_candidates",
-        "index_scan_avoided",
-        "compile_hits",
-        "compile_misses",
-        "compile_invalidations",
-        "compiled_rules",
-        "compiled_firings",
-        "fastpath_leaves",
-        "compile_seconds",
-        "ivm_steps",
-        "ivm_inserts",
-        "ivm_retracts",
-        "ivm_derived_added",
-        "ivm_derived_removed",
-        "ivm_overdeleted",
-        "ivm_rederived",
-        "ivm_count_clamps",
-        "ivm_recomputed_strata",
-        "ivm_maintain_seconds",
-    )
-
     def merge(self, other: "EvaluationStats") -> None:
         """Add ``other``'s counters to this aggregate.
 
-        A materialized view folds each apply's stats into its cumulative
-        stats this way (:mod:`repro.core.ivm`).
+        Every field is an additive counter except those declared with
+        ``_NOT_MERGED`` metadata: the round bookkeeping and the
+        program-level ``semantic_*``/``magic_*`` outcomes.  A materialized
+        view folds each apply's stats into its cumulative stats this way
+        (:mod:`repro.core.ivm`).
         """
-        for name in self._MERGE_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for item in fields(self):
+            if item.metadata.get("merge", True):
+                name = item.name
+                setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class _EvalCaches:
     """Per-evaluation cache state (one per ``evaluate`` call).
-
-    ``rename`` maps (relation name, body-atom args) to {id(tuple): (tuple,
-    renamed atoms)}; the stored tuple reference keeps the id stable.  The
-    cache is value-correct across rounds because renaming is a pure function
-    of the tuple and the target argument names.
 
     ``complement`` maps (relation name, args, content version) to the
     complement DNF, so unchanged relations are never recomplemented.
@@ -403,57 +358,44 @@ class _EvalCaches:
     ``pool`` holds the evaluation's :class:`JoinIndexPool` (None when index
     probing is off or the theory has no generalized index).
 
-    ``compiled`` is the evaluation's :class:`repro.core.compile.
-    CompiledProgram` (None when ``compile_rules`` is off), fetched from the
-    process-wide PlanCache at construction.  Because each ``evaluate()``
-    builds a fresh ``_EvalCaches`` and the fetch keys on the *current*
-    ``EngineOptions``, closures specialized for stale options can never
-    leak into an evaluation whose options changed in between (the cache
-    invalidates the old entry and reports it in the stats).  ``centries``
-    (classified entry records per tuple), ``cscan`` (scan lists per
-    relation content version) and ``cprobe`` (probe results per content
-    version) are the compiled path's per-evaluation caches.
+    ``compiled`` is the program's :class:`repro.core.compile.
+    CompiledProgram`, fetched from the process-wide PlanCache at
+    construction.  Because each ``evaluate()`` builds a fresh
+    ``_EvalCaches`` and the fetch keys on the *current* ``EngineOptions``,
+    closures specialized for stale options can never leak into an
+    evaluation whose options changed in between (the cache invalidates the
+    old entry and reports it in the stats).  ``centries`` (classified entry
+    records per tuple), ``cscan`` (scan lists per relation content version)
+    and ``cprobe`` (probe results per content version) are the compiled
+    closures' per-evaluation caches.
     """
 
-    __slots__ = (
-        "rename",
-        "complement",
-        "pool",
-        "compiled",
-        "centries",
-        "cscan",
-        "cprobe",
-    )
+    __slots__ = ("complement", "pool", "compiled", "centries", "cscan", "cprobe")
 
     def __init__(
         self,
         options: EngineOptions,
         theory: ConstraintTheory,
-        program: "DatalogProgram | None" = None,
-        stats: EvaluationStats | None = None,
+        program: "DatalogProgram",
+        stats: EvaluationStats,
     ) -> None:
-        self.rename: dict | None = {} if options.rename_cache else None
         self.complement: dict | None = {} if options.complement_cache else None
         self.pool: JoinIndexPool | None = None
         if options.index_probes:
             pool = JoinIndexPool(theory)
             self.pool = pool if pool.supported else None
-        self.compiled: rulecompile.CompiledProgram | None = None
-        # entry/scan caches honor the rename-cache ablation flag (they are
-        # the compiled path's analogue of the interpreter's rename cache);
-        # the probe cache is version-keyed and always safe
+        # the entry/scan caches honor the rename-cache ablation flag; the
+        # probe cache is version-keyed and always safe
         self.centries: dict | None = {} if options.rename_cache else None
         self.cscan: dict | None = {} if options.rename_cache else None
         self.cprobe: dict | None = {}
-        if program is not None and options.compile_rules:
-            started = time.perf_counter()
-            compiled, hit, invalidated = rulecompile.PLAN_CACHE.fetch(program)
-            self.compiled = compiled
-            if stats is not None:
-                stats.compile_hits += 1 if hit else 0
-                stats.compile_misses += 0 if hit else 1
-                stats.compile_invalidations += 1 if invalidated else 0
-                stats.compile_seconds += time.perf_counter() - started
+        started = time.perf_counter()
+        compiled, hit, invalidated = rulecompile.PLAN_CACHE.fetch(program)
+        self.compiled: rulecompile.CompiledProgram = compiled
+        stats.compile_hits += 1 if hit else 0
+        stats.compile_misses += 0 if hit else 1
+        stats.compile_invalidations += 1 if invalidated else 0
+        stats.compile_seconds += time.perf_counter() - started
 
 
 class DatalogProgram:
@@ -922,335 +864,16 @@ class DatalogProgram:
     ) -> list[tuple[str, GeneralizedTuple]]:
         """Fire every (rule, delta, delta-position) task of one round, in order.
 
-        Rounds run serially: the paper's parallelism (Section 3.3) is the
+        Every rule fires through its compiled closure chain
+        (:meth:`repro.core.compile.CompiledProgram.fire`), the engine's one
+        join executor; :mod:`repro.core.reference` is the independent naive
+        evaluator it is checked against.  Rounds run serially: the paper's parallelism (Section 3.3) is the
         round-synchronous NC bound that :mod:`repro.core.fringe` models, and
         the joins hold the interpreter lock, so fanning tasks out to threads
         or processes measured no faster on any tracked workload.
         """
+        fire = caches.compiled.fire
         derived: list[tuple[str, GeneralizedTuple]] = []
         for rule, delta, delta_position in tasks:
-            derived.extend(self._fire(rule, world, stats, caches, delta, delta_position))
+            derived.extend(fire(rule, world, stats, caches, delta, delta_position))
         return derived
-
-    # ------------------------------------------------------------ rule firing
-    def _plan(
-        self,
-        positives: Sequence[RelationAtom],
-        sizes: Sequence[int],
-        pinned: set[str],
-        stats: EvaluationStats,
-        delta: int | None = None,
-    ) -> list[int]:
-        """Greedy selectivity order over the rule's positive atoms.
-
-        Atoms sharing more variables with the already-bound set join more
-        selectively (every shared variable is an equi-join the pin filter
-        and the index probes exploit), so pick by descending connectivity,
-        breaking ties toward the semi-naive ``delta`` slot (it is scanned,
-        never probed, so it must not sit in an inner loop), then the
-        smaller source, then the original position (determinism).
-        ``pinned`` seeds the bound set with the constants the rule's
-        constraint atoms force.  Called once per (rule, round), so the
-        order tracks the changing delta/relation cardinalities as the
-        fixpoint grows.
-        """
-        n = len(positives)
-        if n <= 1:
-            return list(range(n))
-        stats.plans_built += 1
-        # the greedy core lives in repro.core.compile (plan_order) so the
-        # compiled closures provably share the interpreter's ordering
-        order = rulecompile.plan_order(
-            [atom.args for atom in positives], sizes, pinned, delta
-        )
-        if order != sorted(order):
-            stats.plan_reorders += 1
-        return order
-
-    def _renamed_tuples(
-        self,
-        atom: RelationAtom,
-        source: Iterable[GeneralizedTuple],
-        caches: _EvalCaches,
-        stats: EvaluationStats,
-        want_pins: bool,
-    ) -> list[tuple[tuple[Atom, ...], dict | None]]:
-        """Each source tuple's atoms renamed onto the body atom's arguments,
-        paired with its pinned-constant map when the pin filter is active.
-
-        Renaming is a pure function of (tuple, target args), so results are
-        cached per (relation, body-atom) pair across rounds; the cached entry
-        keeps the tuple reference, pinning its id for the dict key.
-        """
-        theory = self.theory
-        if caches.rename is None:
-            return [
-                (
-                    renamed := tuple(t.rename(atom.args).atoms),
-                    theory.pinned_constants(renamed) if want_pins else None,
-                )
-                for t in source
-            ]
-        per_atom = caches.rename.setdefault((atom.name, atom.args), {})
-        renamed_list: list[tuple[tuple[Atom, ...], dict | None]] = []
-        for t in source:
-            entry = per_atom.get(id(t))
-            if entry is None:
-                renamed = tuple(t.rename(atom.args).atoms)
-                pins = dict(theory.pinned_constants(renamed)) if want_pins else None
-                per_atom[id(t)] = (t, renamed, pins)
-                stats.rename_cache_misses += 1
-            else:
-                renamed, pins = entry[1], entry[2]
-                if want_pins and pins is None:
-                    pins = dict(theory.pinned_constants(renamed))
-                    per_atom[id(t)] = (t, renamed, pins)
-                stats.rename_cache_hits += 1
-            renamed_list.append((renamed, pins))
-        return renamed_list
-
-    def _complement(
-        self,
-        atom: RelationAtom,
-        relation: GeneralizedRelation,
-        caches: _EvalCaches,
-        stats: EvaluationStats,
-    ) -> list[tuple[Atom, ...]]:
-        """Complement DNF of a negated body atom, cached per content version."""
-        if caches.complement is None:
-            return relation_complement_dnf(relation, atom.args, self.theory)
-        key = (atom.name, atom.args, relation.version)
-        cached = caches.complement.get(key)
-        if cached is None:
-            cached = relation_complement_dnf(relation, atom.args, self.theory)
-            caches.complement[key] = cached
-            stats.complement_cache_misses += 1
-        else:
-            stats.complement_cache_hits += 1
-        return cached
-
-    def _fire(
-        self,
-        rule: Rule,
-        world: GeneralizedDatabase,
-        stats: EvaluationStats,
-        caches: _EvalCaches,
-        delta: dict[str, list[GeneralizedTuple]] | None = None,
-        delta_position: int | None = None,
-    ) -> list[tuple[str, GeneralizedTuple]]:
-        """All head tuples derivable by one firing of ``rule``.
-
-        With ``delta``/``delta_position`` set, the positive atom at that
-        position draws from the delta instead of the full relation
-        (semi-naive restriction).  The delta restriction survives the join
-        planner's reordering because the delta source is attached to the
-        atom *before* planning -- the plan permutes (atom, source) pairs.
-
-        With ``compile_rules`` on, the firing is delegated to the rule's
-        compiled closure chain (:mod:`repro.core.compile`), which enumerates
-        exactly the same candidates in the same order; the interpreted body
-        below is the differential oracle the compiled path is tested
-        against (and the fallback for rules the cache cannot resolve).
-        """
-        compiled = caches.compiled
-        if compiled is not None:
-            fired = compiled.fire(rule, world, stats, caches, delta, delta_position)
-            if fired is not None:
-                return fired
-        positives = rule.positive_atoms
-        options = self.options
-        pin_filter = options.pin_filter
-        theory = self.theory
-        constraints = tuple(rule.constraint_atoms)
-        need_pins = pin_filter or options.join_planner
-        root_pin_map = (
-            dict(theory.pinned_constants(constraints)) if need_pins else {}
-        )
-
-        # (body atom, tuple source, indexable relation or None); deltas are
-        # consumed once per round, so indexing them would cost more than the
-        # scan they replace -- which is why the planner puts the delta first
-        # on a connectivity tie: scanned once at the outermost level, it
-        # binds the join variables the indexed relations below are probed on
-        sources: list[
-            tuple[RelationAtom, Iterable[GeneralizedTuple], GeneralizedRelation | None]
-        ] = []
-        sizes: list[int] = []
-        for index, atom in enumerate(positives):
-            relation = world.relation(atom.name)
-            if delta is not None and index == delta_position:
-                source = delta.get(atom.name, [])
-                sources.append((atom, source, None))
-                sizes.append(len(source))
-            else:
-                sources.append((atom, relation, relation))
-                sizes.append(len(relation))
-        if options.join_planner:
-            order = self._plan(
-                positives,
-                sizes,
-                set(root_pin_map),
-                stats,
-                delta_position if delta is not None else None,
-            )
-        else:
-            order = list(range(len(positives)))
-        plan = [sources[i] for i in order]
-        negated_dnfs: list[list[tuple[Atom, ...]]] = [
-            self._complement(atom, world.relation(atom.name), caches, stats)
-            for atom in rule.negative_atoms
-        ]
-        head_vars = rule.head.args
-        body_vars = rule.variables()
-        drop = tuple(v for v in body_vars if v not in head_vars)
-        results: list[tuple[str, GeneralizedTuple]] = []
-        incremental = options.incremental_join
-        pool = caches.pool
-        slots = len(plan)
-        #: lazily-materialized full scan lists, one per plan slot -- a slot
-        #: every probe answers never pays for renaming its whole relation
-        scan_lists: list[list[tuple[tuple[Atom, ...], dict | None]] | None] = [
-            None
-        ] * slots
-
-        def scan_entries(slot: int) -> list[tuple[tuple[Atom, ...], dict | None]]:
-            entries = scan_lists[slot]
-            if entries is None:
-                atom, source, _relation = plan[slot]
-                entries = self._renamed_tuples(atom, source, caches, stats, pin_filter)
-                scan_lists[slot] = entries
-            return entries
-
-        def probe_entries(
-            slot: int, context, pins: dict | None
-        ) -> list[tuple[tuple[Atom, ...], dict | None]] | None:
-            """Index-backed candidates for a slot, or None to scan.
-
-            Prefers an exact pin (probe [c, c]); otherwise asks the theory
-            for interval bounds the partial conjunction forces on an
-            argument variable -- only under the incremental join, where the
-            context carries solver state (rebuilding a closure per probe
-            would cost more than the scan it avoids).
-            """
-            atom, _source, relation = plan[slot]
-            if relation is None or not relation:
-                return None
-            best = None
-            if pins is not None:
-                for position, var in enumerate(atom.args):
-                    value = pins.get(var)
-                    if isinstance(value, Fraction):
-                        best = (position, value, value)
-                        break
-            if best is None and incremental:
-                for position, var in enumerate(atom.args):
-                    bounds = theory.conjunction_bounds(context, var)
-                    if bounds is not None:
-                        best = (position, bounds[0], bounds[1])
-                        break
-            if best is None:
-                return None
-            position, low, high = best
-            candidates = pool.probe(relation, relation.variables[position], low, high)
-            if candidates is None:
-                return None
-            stats.index_probes += 1
-            stats.index_candidates += len(candidates)
-            stats.index_scan_avoided += len(relation) - len(candidates)
-            return self._renamed_tuples(atom, candidates, caches, stats, pin_filter)
-
-        def fire_leaf(partial: tuple[Atom, ...]) -> None:
-            for negated in self._expand_negations(negated_dnfs):
-                stats.rule_firings += 1
-                conjunction = partial + negated
-                if negated:
-                    stats.sat_checks += 1
-                    if not theory.is_satisfiable(conjunction):
-                        stats.join_prunes += 1
-                        continue
-                for eliminated in theory.eliminate(conjunction, drop):
-                    stats.tuples_derived += 1
-                    results.append(
-                        (
-                            rule.head.name,
-                            GeneralizedTuple(head_vars, eliminated),
-                        )
-                    )
-
-        def extend(index: int, context, pins: dict | None) -> None:
-            """Depth-first join with incremental satisfiability pruning:
-            a partial combination that is already inconsistent (e.g. a key
-            mismatch) cuts the whole subtree of tuple choices.  With the
-            incremental fast path, each level extends the parent's solver
-            state (the dense-order closure) instead of re-closing the whole
-            partial conjunction from scratch.  ``pins`` carries the partial
-            conjunction's forced variable=constant bindings; a candidate that
-            pins a shared variable to a different constant is unsatisfiable
-            with the partial conjunction, so it is rejected by a dictionary
-            comparison before the solver is consulted at all.  When the
-            partial conjunction pins or interval-bounds one of the slot's
-            variables, the slot's candidates come from the generalized
-            index instead of the full scan list."""
-            if index == slots:
-                fire_leaf(context.atoms if incremental else context)
-                return
-            entries = None
-            if pool is not None:
-                entries = probe_entries(index, context, pins)
-            if entries is None:
-                entries = scan_entries(index)
-            for renamed, cand_pins in entries:
-                stats.join_steps += 1
-                tick("join")
-                if pins is not None and cand_pins:
-                    conflict = False
-                    for var, value in cand_pins.items():
-                        if var in pins and pins[var] != value:
-                            conflict = True
-                            break
-                    if conflict:
-                        stats.pin_prunes += 1
-                        stats.join_prunes += 1
-                        continue
-                    child_pins = {**pins, **cand_pins}
-                else:
-                    child_pins = pins
-                if incremental:
-                    child = theory.extend_conjunction(context, renamed)
-                    stats.closure_extensions += 1
-                    if not child.satisfiable:
-                        stats.join_prunes += 1
-                        continue
-                    extend(index + 1, child, child_pins)
-                else:
-                    candidate = context + renamed
-                    stats.sat_checks += 1
-                    if not theory.is_satisfiable(candidate):
-                        stats.join_prunes += 1
-                        continue
-                    extend(index + 1, candidate, child_pins)
-
-        root_pins = dict(root_pin_map) if pin_filter else None
-        if incremental:
-            root = theory.begin_conjunction(constraints)
-            stats.sat_checks += 1
-            if root.satisfiable:
-                extend(0, root, root_pins)
-        else:
-            stats.sat_checks += 1
-            if theory.is_satisfiable(constraints):
-                extend(0, constraints, root_pins)
-        return results
-
-    @staticmethod
-    def _expand_negations(
-        negated_dnfs: list[list[tuple[Atom, ...]]]
-    ) -> Iterable[tuple[Atom, ...]]:
-        if not negated_dnfs:
-            yield ()
-            return
-        for combo in itertools.product(*negated_dnfs):
-            merged: tuple[Atom, ...] = ()
-            for part in combo:
-                merged = merged + part
-            yield merged

@@ -13,10 +13,10 @@ and records stable, comparable records into ``BENCH_datalog.json`` (via
   lemma (Section 5).
 
 Every engine workload runs once per ablation column (all optimizations on,
-all off, each of the two PR-5 layers -- join planner, index probes --
-individually off, and the PR-6 rule compiler off),
+all off, and the join planner and the index probes individually off),
 asserts that *all columns produce the identical fixpoint*, and records
-per-column wall-clock plus the relevant engine counters.  A separate
+per-column wall-clock -- the median of ``--repeat`` runs after one untimed
+warmup -- plus the relevant engine counters.  A separate
 ``compile_stats`` record microbenches the PlanCache: cold ``evaluate()``
 setup (cleared cache: fetch + lowering) vs. warm (cache hit), the
 prepared-query pattern the planned server relies on.  A ``semantic_stats``
@@ -28,10 +28,10 @@ full-fixpoint-then-filter, asserting byte-identical answers and a warm
 plan-cache hit for the repeated adornment shape.
 
 ``--check PCT`` turns the suite into a regression gate: the **speedup
-ratios** (all-off / all-on and no-compile / all-on per workload) of the
-fresh run are compared against a baseline document (``--baseline``, default
-the committed ``BENCH_datalog.json``), and the run fails if any ratio
-regressed by more than PCT percent.  Ratios, not absolute times, keep the
+ratio** (all-off / all-on per workload) of the fresh run is compared
+against a baseline document (``--baseline``, default the committed
+``BENCH_datalog.json``), and the run fails if any ratio regressed by more
+than PCT percent.  Ratios, not absolute times, keep the
 gate meaningful across CI machines of different speeds.  The gate also
 enforces the plan-cache floor: a warm evaluate() must set up at least 5x
 faster than a cold one.
@@ -40,6 +40,7 @@ faster than a cold one.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -62,13 +63,12 @@ T(x, y) :- E(x, y).
 T(x, y) :- T(x, z), E(z, y).
 """
 
-#: ablation columns recorded per workload: the two extremes plus each of
-#: the three fast-path layers this engine generation added, individually off
+#: ablation columns recorded per workload: the two extremes plus the join
+#: planner and the index probes, individually off
 COLUMNS: tuple[tuple[str, EngineOptions], ...] = (
     ("all_on", EngineOptions.all_on()),
     ("no_join_planner", EngineOptions(join_planner=False)),
     ("no_index_probes", EngineOptions(index_probes=False)),
-    ("no_compile", EngineOptions(compile_rules=False)),
     ("all_off", EngineOptions.all_off()),
 )
 
@@ -101,22 +101,27 @@ def _run_columns(
     target: str = "T",
     repeat: int = 1,
 ) -> dict[str, Any]:
-    """One workload across all ablation columns; asserts identical fixpoints."""
+    """One workload across all ablation columns; asserts identical fixpoints.
+
+    Each column runs once untimed (the warmup lowers its closures and warms
+    the theory cache), then ``repeat`` timed runs; the column's time is
+    their median, which a single slow or fast outlier cannot move.
+    """
     rules = parse_rules(TC_RULES, theory=theory)
     columns: dict[str, Any] = {}
     fingerprints = set()
     for column, options in COLUMNS:
         program = DatalogProgram(rules, theory, options=options)
-        best = None
-        for _ in range(repeat):
+        program.evaluate(make_db())
+        samples = []
+        for _ in range(max(1, repeat)):
             db = make_db()
             started = time.perf_counter()
             world, stats = program.evaluate(db)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None else min(best, elapsed)
+            samples.append(time.perf_counter() - started)
         fingerprints.add(_fingerprint(world, target))
         columns[column] = {
-            "time_s": round(best, 6),
+            "time_s": round(statistics.median(samples), 6),
             **{name: getattr(stats, name) for name in _TRACKED},
         }
     identical = len(fingerprints) == 1
@@ -126,14 +131,10 @@ def _run_columns(
             f"({len(fingerprints)} distinct answers)"
         )
     speedup = columns["all_off"]["time_s"] / max(columns["all_on"]["time_s"], 1e-9)
-    compile_speedup = columns["no_compile"]["time_s"] / max(
-        columns["all_on"]["time_s"], 1e-9
-    )
     return {
         "columns": columns,
         "identical_fixpoints": identical,
         "speedup_all_on": round(speedup, 3),
-        "speedup_compile": round(compile_speedup, 3),
     }
 
 
@@ -181,10 +182,9 @@ def _bench_dense(sizes: Iterable[int], repeat: int) -> dict[str, Any]:
         "workload": "dense-order transitive closure over point chains",
         "sizes": list(sizes),
         "per_size": per_size,
-        # headline ratios: the largest size is the one the acceptance gate
+        # headline ratio: the largest size is the one the acceptance gate
         # and the regression check track
         "speedup_all_on": per_size[str(max(sizes))]["speedup_all_on"],
-        "speedup_compile": per_size[str(max(sizes))]["speedup_compile"],
     }
 
 
@@ -200,7 +200,6 @@ def _bench_equality(sizes: Iterable[int], repeat: int) -> dict[str, Any]:
         "sizes": list(sizes),
         "per_size": per_size,
         "speedup_all_on": per_size[str(max(sizes))]["speedup_all_on"],
-        "speedup_compile": per_size[str(max(sizes))]["speedup_compile"],
     }
 
 
@@ -514,19 +513,14 @@ _IVM_FLOOR_MIN_N = 32
 
 
 def _collect_speedups(document: dict[str, Any]) -> dict[str, float]:
-    """name -> headline speedup ratios for every engine record in a document.
-
-    The compile-ablation ratio of a record gates under ``<name>::compile``
-    so the two ratios regress (and report) independently.
-    """
+    """name -> headline speedup ratio for every engine record in a document."""
     speedups: dict[str, float] = {}
     for name, record in document.get("records", {}).items():
         if not name.startswith("engine_"):
             continue
-        for field, suffix in (("speedup_all_on", ""), ("speedup_compile", "::compile")):
-            ratio = record.get(field)
-            if isinstance(ratio, (int, float)) and ratio > 0:
-                speedups[name + suffix] = float(ratio)
+        ratio = record.get("speedup_all_on")
+        if isinstance(ratio, (int, float)) and ratio > 0:
+            speedups[name] = float(ratio)
     return speedups
 
 
@@ -650,7 +644,9 @@ def main(argv: list[str] | None = None) -> int:
         help="workload sizes (default: smoke)",
     )
     parser.add_argument(
-        "--repeat", type=int, default=1, help="timing repetitions (min is kept)"
+        "--repeat", type=int, default=1,
+        help="timed repetitions per engine column after one warmup (the "
+        "median is kept; the other records keep the best of max(3, N))",
     )
     parser.add_argument(
         "--check", type=float, metavar="PCT", default=None,

@@ -48,7 +48,6 @@ from fractions import Fraction
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.core.generalized import GeneralizedRelation, GeneralizedTuple
 from repro.indexing.generalized_index import GeneralizedIndex1D
-from repro.indexing.interval import Interval
 
 
 class JoinIndexPool:

@@ -86,7 +86,8 @@ class TestEngineCommand:
         output = run([".engine"])
         assert "join_planner=on" in output
         assert "index_probes=on" in output
-        assert "compile_rules=on" in output
+        assert "rename_cache=on" in output
+        assert "compile_rules" not in output
         assert "parallel" not in output and "cluster" not in output
 
     def test_toggle_and_run(self):
@@ -125,7 +126,6 @@ class TestEngineCommand:
             ".run",
             ".engine",
         ])
-        assert "compile_rules=on" in output
         assert "plan cache: 1 compiled program(s)" in output
         # first .run misses, second hits the prepared-query cache
         assert "1 hits, 1 misses" in output

@@ -1,9 +1,10 @@
-"""The rule compiler: PlanCache lifecycle, IR rendering, budget parity.
+"""The rule compiler: PlanCache lifecycle, IR rendering, stats merging.
 
-The equivalence matrix (compiled vs. interpreted fixpoints across theories
-and semantics) lives in ``test_compile_equivalence.py``; this module covers
-the cache machinery itself -- the prepared-query pattern the server relies
-on -- plus the lowered-IR pretty printer and the budget-tick contract.
+The equivalence matrix (compiled fixpoints against the naive reference
+evaluator across theories and semantics) and the fringe-soundness check
+live in ``test_compile_equivalence.py``; this module covers the cache
+machinery itself -- the prepared-query pattern the server relies on --
+plus the lowered-IR pretty printer.
 """
 
 from dataclasses import replace
@@ -13,11 +14,15 @@ import pytest
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
 from repro.core.compile import PLAN_CACHE, PlanCache, render_plan
-from repro.core.datalog import DatalogProgram, EngineOptions, EvaluationStats
+from repro.core.datalog import (
+    DatalogProgram,
+    EngineOptions,
+    EvaluationStats,
+    _EvalCaches,
+)
 from repro.core.generalized import GeneralizedDatabase
-from repro.errors import BudgetExceededError
+from repro.errors import EvaluationError
 from repro.logic.parser import parse_rules
-from repro.runtime.budget import Budget
 
 TC_RULES = """
 T(x, y) :- E(x, y).
@@ -106,19 +111,30 @@ class TestPlanCache:
         _, back = _program(theory, on).evaluate(_chain_db(theory, 4))
         assert back.compile_invalidations == 1
 
-    def test_compile_rules_off_bypasses_cache(self):
+    def test_all_off_still_compiles(self):
+        # the compiled closures are the only join executor: turning every
+        # ablation layer off specializes them, it does not bypass them
         theory = DenseOrderTheory()
-        options = replace(EngineOptions.all_on(), compile_rules=False)
-        _, stats = _program(theory, options).evaluate(_chain_db(theory, 4))
-        assert stats.compile_misses == 0 and stats.compiled_firings == 0
-        assert PLAN_CACHE.stats()["entries"] == 0
-
-    def test_all_off_disables_compilation(self):
-        theory = DenseOrderTheory()
-        _, stats = _program(theory, EngineOptions.all_off()).evaluate(
+        world, stats = _program(theory, EngineOptions.all_off()).evaluate(
             _chain_db(theory, 4)
         )
-        assert stats.compiled_firings == 0 and stats.fastpath_leaves == 0
+        assert stats.compile_misses == 1 and stats.compiled_firings > 0
+        assert PLAN_CACHE.stats()["entries"] == 1
+        assert len(world.relation("T")) == 4 * 5 // 2
+
+    def test_unknown_rule_raises(self):
+        theory = DenseOrderTheory()
+        program = _program(theory)
+        world, _ = program.evaluate(_chain_db(theory, 3))
+        stats = EvaluationStats()
+        caches = _EvalCaches(program.options, theory, program, stats)
+        # a re-parsed copy of a program rule resolves by its text
+        again = parse_rules(TC_RULES, theory=theory)[1]
+        fired = caches.compiled.fire(again, world, stats, caches, None, None)
+        assert fired and {name for name, _ in fired} == {"T"}
+        extra = parse_rules("U(x) :- T(x, y).", theory=theory)[0]
+        with pytest.raises(EvaluationError, match="not in the compiled program"):
+            caches.compiled.fire(extra, world, stats, caches, None, None)
 
     def test_lru_bound(self):
         cache = PlanCache(maxsize=2)
@@ -162,6 +178,27 @@ class TestStatsMerge:
         assert a.rule_firings == 6
         assert a.index_probes == 2
         assert a.pin_prunes == 7
+
+    def test_merge_folds_theory_cache_counters(self):
+        a = EvaluationStats(theory_cache_hits=2, theory_cache_misses=3)
+        a.merge(EvaluationStats(theory_cache_hits=5, theory_cache_misses=7))
+        assert (a.theory_cache_hits, a.theory_cache_misses) == (7, 10)
+
+    def test_merge_leaves_program_level_fields_alone(self):
+        a = EvaluationStats(tuples_added=1, semantic_rules_subsumed=2, magic_rules=3)
+        a.merge(
+            EvaluationStats(
+                tuples_added=4,
+                semantic_rules_subsumed=5,
+                magic_rules=6,
+                magic_fallback_predicates=("T",),
+                incomplete=True,
+                budget={"kind": "joins"},
+            )
+        )
+        assert (a.tuples_added, a.semantic_rules_subsumed, a.magic_rules) == (1, 2, 3)
+        assert a.magic_fallback_predicates == ()
+        assert a.incomplete is False and a.budget is None
 
     def test_merge_leaves_round_bookkeeping_alone(self):
         a = EvaluationStats(iterations=2, per_round_new=[1])
@@ -230,27 +267,3 @@ class TestRenderPlan:
         assert len(world.relation("T")) > len(world.relation("E"))
         text = render_plan(program, program.rules[1], world)
         assert "order: [1, 0]" in text  # E (position 1) scans first
-
-
-class TestBudgetTickParity:
-    """Compiled loops tick the shared meter exactly like interpreted ones."""
-
-    def _trip(self, budget, compile_rules):
-        theory = DenseOrderTheory()
-        options = replace(
-            EngineOptions.all_on(), budget=budget, compile_rules=compile_rules
-        )
-        with pytest.raises(BudgetExceededError) as info:
-            _program(theory, options).evaluate(_chain_db(theory, 20))
-        return info.value.report
-
-    @pytest.mark.parametrize(
-        "budget",
-        [Budget(joins=17), Budget(tuples=9), Budget(rounds=3)],
-        ids=["joins", "tuples", "rounds"],
-    )
-    def test_same_trip_counts(self, budget):
-        compiled = self._trip(budget, compile_rules=True)
-        interpreted = self._trip(budget, compile_rules=False)
-        assert compiled.budget_kind == interpreted.budget_kind
-        assert compiled.counts == interpreted.counts

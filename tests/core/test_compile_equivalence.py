@@ -1,26 +1,28 @@
-"""Property tests: compiled closures never change a fixpoint.
+"""Property tests: every engine configuration computes the reference fixpoint.
 
-The compiler's contract is stronger than "same answers": a compiled rule
-enumerates exactly the candidate entries the interpreted join enumerates,
-in the same order, under the same plan -- the fast paths only change *how*
-each per-entry decision is computed.  These tests check the observable
-half of that contract across all four theories and all four semantics
-(naive and semi-naive iteration under auto, stratified, and inflationary
-policies), and the stronger half via the shared counters: identical
-``join_steps`` and ``tuples_derived`` between the two engines, and
-identical sound under-approximations when a fringe budget trips.
+The compiled closures (:mod:`repro.core.compile`) are the engine's only join
+executor.  These tests check them against the naive reference evaluator
+(:mod:`repro.core.reference`), which fires every rule over the cartesian
+product of its body tuples straight from the paper's definition, across
+all four theories and all three semantics (auto, stratified, inflationary),
+under naive and semi-naive iteration, with every ablation layer on and
+with every one off.  A fringe run cut short by a budget must be a sound
+under-approximation of the reference fixpoint.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints.dense_order import DenseOrderTheory
 from repro.constraints.equality import EqualityTheory
+from repro.core.calculus import relation_complement_dnf
 from repro.core.datalog import DatalogProgram, EngineOptions
 from repro.core.generalized import GeneralizedDatabase
+from repro.core.reference import evaluate_reference
 from repro.logic.parser import parse_rules
 from repro.runtime.budget import Budget
 
@@ -35,8 +37,7 @@ U(x, y) :- V(x), V(y), not T(x, y).
 
 SEMANTICS = ("auto", "stratified", "inflationary")
 
-COMPILED = EngineOptions.all_on()
-INTERPRETED = replace(EngineOptions.all_on(), compile_rules=False)
+CONFIGURATIONS = (EngineOptions.all_on(), EngineOptions.all_off())
 
 
 def _random_dense_db(theory, rng, size):
@@ -90,7 +91,7 @@ def _fingerprint(world, names):
     }
 
 
-def _assert_compiled_equivalent(make_theory, make_db, seed, size):
+def _assert_matches_reference(make_theory, make_db, seed, size):
     rng = random.Random(seed)
     for rules_text, names in (
         (POSITIVE_RULES, ("T",)),
@@ -98,10 +99,14 @@ def _assert_compiled_equivalent(make_theory, make_db, seed, size):
     ):
         layout_seed = rng.randrange(1 << 30)
         for semantics in SEMANTICS:
-            for semi_naive in (True, False):
-                results = []
-                counters = []
-                for options in (COMPILED, INTERPRETED):
+            theory = make_theory()
+            db = make_db(theory, random.Random(layout_seed), size)
+            reference = evaluate_reference(
+                parse_rules(rules_text, theory=theory), theory, db, semantics
+            )
+            expected = _fingerprint(reference, names)
+            for options in CONFIGURATIONS:
+                for semi_naive in (True, False):
                     theory = make_theory()
                     db = make_db(theory, random.Random(layout_seed), size)
                     program = DatalogProgram(
@@ -109,48 +114,39 @@ def _assert_compiled_equivalent(make_theory, make_db, seed, size):
                         theory,
                         options=options,
                     )
-                    world, stats = program.evaluate(
+                    world, _stats = program.evaluate(
                         db, semi_naive=semi_naive, semantics=semantics
                     )
-                    results.append(_fingerprint(world, names))
-                    counters.append((stats.join_steps, stats.tuples_derived))
-                label = (
-                    f"(semantics={semantics}, semi_naive={semi_naive}, "
-                    f"seed={seed})"
-                )
-                assert results[0] == results[1], (
-                    f"compilation changed the fixpoint {label}"
-                )
-                # the step-for-step contract: same entries enumerated,
-                # same tuples derived
-                assert counters[0] == counters[1], (
-                    f"compilation changed the join/derive counts {label}"
-                )
+                    assert _fingerprint(world, names) == expected, (
+                        f"engine fixpoint differs from the reference "
+                        f"(options={options.as_dict()}, semantics={semantics}, "
+                        f"semi_naive={semi_naive}, seed={seed})"
+                    )
 
 
 class TestCompiledEquivalence:
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_dense_order_programs(self, seed, size):
-        _assert_compiled_equivalent(
-            DenseOrderTheory, _random_dense_db, seed, size
-        )
+        _assert_matches_reference(DenseOrderTheory, _random_dense_db, seed, size)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 5))
     def test_equality_programs(self, seed, size):
-        _assert_compiled_equivalent(
+        _assert_matches_reference(
             EqualityTheory, _random_equality_db, seed, size
         )
 
 
 class TestFourTheoryMatrix:
-    """Compiled vs interpreted over conformance-generated cases.
+    """Engine configurations vs the reference over conformance cases.
 
     Covers all four theories (dense order, equality, boolean, real
     polynomial) under both fixpoint orders and the generated case's own
     semantics, including the theories the compiler forces onto the
-    general (non-pointwise) path.
+    general (non-pointwise) path.  Results are compared with the
+    conformance harness's semantic oracles: the boolean and polynomial
+    theories have no unique canonical form per point set.
     """
 
     @staticmethod
@@ -163,14 +159,28 @@ class TestFourTheoryMatrix:
                 return spec
         return None
 
+    @staticmethod
+    def _target(world, spec, case):
+        from repro.core.generalized import GeneralizedRelation
+
+        result = GeneralizedRelation("result", case.output, case.theory)
+        for item in world.relation(spec.target):
+            result.add(item)
+        return result
+
     def _assert_matrix(self, theory_name, seed):
+        from repro.conformance.oracles import compare_relations
         from repro.conformance.spec import build_case
 
         spec = self._datalog_spec(theory_name, seed)
         if spec is None:
             return
-        fingerprints = set()
-        for options in (COMPILED, INTERPRETED):
+        case = build_case(spec)
+        world = evaluate_reference(
+            case.rules, case.theory, case.database, spec.semantics
+        )
+        expected = self._target(world, spec, case)
+        for options in CONFIGURATIONS:
             for semi_naive in (True, False):
                 case = build_case(spec)
                 program = DatalogProgram(
@@ -181,16 +191,19 @@ class TestFourTheoryMatrix:
                     semi_naive=semi_naive,
                     semantics=spec.semantics,
                 )
-                fingerprints.add(
-                    frozenset(
-                        frozenset(t.atoms)
-                        for t in world.relation(spec.target)
-                    )
+                found = compare_relations(
+                    expected,
+                    self._target(world, spec, case),
+                    "reference",
+                    "engine",
+                    spec.theory,
+                    spec.m,
                 )
-        assert len(fingerprints) == 1, (
-            f"{theory_name} fixpoint depends on compile_rules (seed={seed}, "
-            f"{len(fingerprints)} distinct answers)"
-        )
+                assert found is None, (
+                    f"{theory_name} engine differs from the reference "
+                    f"(seed={seed}, options={options.as_dict()}, "
+                    f"semi_naive={semi_naive}): {found.describe()}"
+                )
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))
@@ -213,31 +226,58 @@ class TestFourTheoryMatrix:
         self._assert_matrix("real_poly", seed)
 
 
-class TestBudgetedEquivalence:
-    """Fringe degradation under budgets is identical compiled vs not."""
+def _contained(item, complement, theory):
+    """Whether a generalized tuple's point set lies inside a relation, given
+    the relation's complement DNF over the tuple's variables: the tuple
+    conjoined with any disjunct of the complement is unsatisfiable."""
+    return not any(
+        theory.is_satisfiable(tuple(item.atoms) + disjunct)
+        for disjunct in complement
+    )
 
-    def _chain_db(self, theory, n):
-        db = GeneralizedDatabase(theory)
-        edge = db.create_relation("E", ("x", "y"))
-        for i in range(n):
-            edge.add_point([i, i + 1])
-        return db
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(5, 40), st.integers(8, 20))
-    def test_fringe_partial_results_match(self, joins, size):
-        budget = Budget(joins=joins, partial_results="fringe")
-        worlds = []
-        for base in (COMPILED, INTERPRETED):
-            theory = DenseOrderTheory()
-            options = replace(base, budget=budget)
-            program = DatalogProgram(
-                parse_rules(POSITIVE_RULES, theory=theory),
-                theory,
-                options=options,
+class TestFringeSoundness:
+    """A budget-tripped fringe run under-approximates the reference."""
+
+    @pytest.mark.parametrize(
+        "kind, limits",
+        [("joins", st.integers(1, 20)), ("tuples", st.integers(1, 8)),
+         ("rounds", st.integers(1, 3))],
+        ids=["joins", "tuples", "rounds"],
+    )
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_fringe_is_contained_in_reference(self, kind, limits, data):
+        limit = data.draw(limits, label="limit")
+        seed = data.draw(st.integers(0, 10_000), label="seed")
+        rules_text = data.draw(
+            st.sampled_from((POSITIVE_RULES, NEGATION_RULES)), label="rules"
+        )
+        semantics = data.draw(st.sampled_from(SEMANTICS), label="semantics")
+        theory = DenseOrderTheory()
+        rules = parse_rules(rules_text, theory=theory)
+        db = _random_dense_db(theory, random.Random(seed), 3)
+        # a chain through five vertices makes the closure deep enough for
+        # each budget to trip before the fixpoint
+        edges = db.relation("E")
+        for i in range(5):
+            edges.add_point([i, i + 1])
+        reference = evaluate_reference(rules, theory, db, semantics)
+        budget = Budget(partial_results="fringe", **{kind: limit})
+        program = DatalogProgram(
+            rules, theory, options=replace(EngineOptions.all_on(), budget=budget)
+        )
+        world, stats = program.evaluate(db, semantics=semantics)
+        assert stats.incomplete
+        assert stats.budget is not None
+        for name in program.idb_predicates():
+            relation = world.relation(name)
+            complement = relation_complement_dnf(
+                reference.relation(name), relation.variables, theory
             )
-            world, stats = program.evaluate(self._chain_db(theory, size))
-            worlds.append(_fingerprint(world, ("T",)))
-        # same ticks -> the budget trips at the same point -> the sound
-        # under-approximations are the same set of tuples
-        assert worlds[0] == worlds[1]
+            for item in relation:
+                assert _contained(item, complement, theory), (
+                    f"fringe tuple {item} of {name} is outside the reference "
+                    f"fixpoint ({kind}={limit}, semantics={semantics}, "
+                    f"seed={seed})"
+                )

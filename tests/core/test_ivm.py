@@ -372,6 +372,23 @@ class TestStats:
             assert key in encoded
         view.close()
 
+    def test_recompute_keeps_theory_cache_traffic(self):
+        # an inflationary view re-evaluates the program on every apply; the
+        # theory-cache hits and misses of that evaluation are view stats too
+        theory = _theory()
+        view = MaterializedView(
+            _program(NEGATION_RULES, theory),
+            _db(theory, E=[(0, 1)], F=[(1, 2)]),
+            semantics="inflationary",
+        )
+        stats = view.insert("E", _point(1, 2))
+        assert stats.ivm_recomputed_strata == 1
+        assert stats.theory_cache_hits + stats.theory_cache_misses > 0
+        total = view.total_stats
+        assert total.theory_cache_hits >= stats.theory_cache_hits
+        assert total.theory_cache_misses >= stats.theory_cache_misses
+        view.close()
+
     def test_last_stats_is_per_apply(self):
         theory = _theory()
         view = MaterializedView(
